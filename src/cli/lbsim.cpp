@@ -23,7 +23,6 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "testbed/config.hpp"
-#include "testbed/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
@@ -443,6 +442,11 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
     return 0;
   }
 
+  // Both engines run on the one replication kernel; the testbed is the
+  // kernel's Section 3 emulation of the scenario (testbed::emulate refuses
+  // the semantics it cannot honour), reported with its own defaults and
+  // state-plane columns.
+  const bool on_testbed = engine.engine == "testbed";
   std::vector<std::string> header = {"scenario", "policy", "engine", "reps", "mean_s",
                                      "ci95_s", "stderr_s", "min_s", "max_s", "p50_s",
                                      "p90_s", "p99_s", "mean_failures",
@@ -450,8 +454,9 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
   if (engine.vr != mc::VrMode::kNone) {
     header.insert(header.end(), vr_columns().begin(), vr_columns().end());
   }
-  if (engine.engine == "testbed") {
+  if (on_testbed) {
     header.insert(header.end(), {"state_age_mean_s", "state_age_max_s", "state_lost"});
+    scenario = testbed::emulate(std::move(scenario));
   }
   util::TextTable table(header);
   RunMetadata meta;
@@ -460,83 +465,52 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
   meta.threads = engine.threads;
 
   const auto start = std::chrono::steady_clock::now();
-  if (engine.engine == "mc") {
-    mc::McConfig mc_config;
-    if (engine.replications != 0) mc_config.replications = engine.replications;
-    if (engine.seed != 0) mc_config.seed = engine.seed;
-    mc_config.threads = engine.threads;
-    mc_config.vr = engine.vr;
-    mc_config.cv_pilot = engine.cv_pilot;
-    mc_config.shards = engine.shards;
-    mc_config.obs = sinks;
-    const std::string policy_name = scenario.policy->name();
-    const mc::McResult result = mc::run_monte_carlo(scenario, mc_config);
-    std::vector<std::string> row = {invocation.spec->name, policy_name, "mc",
-                                    std::to_string(mc_config.replications),
-                                    util::format_double(result.mean(), 3),
-                                    util::format_double(result.ci95(), 3),
-                                    util::format_double(result.std_error(), 3),
-                                    util::format_double(result.completion.min(), 3),
-                                    util::format_double(result.completion.max(), 3),
-                                    util::format_double(result.p50, 3),
-                                    util::format_double(result.p90, 3),
-                                    util::format_double(result.p99, 3),
-                                    util::format_double(result.mean_failures, 2),
-                                    util::format_double(result.mean_tasks_moved, 2),
-                                    util::format_double(result.mean_bundles, 2)};
-    if (engine.vr != mc::VrMode::kNone) {
-      append_vr_cells(result, row);
-      note_vr_metadata(result, meta);
-      if (!result.vr.fallback.empty()) {
-        out << "note: " << result.vr.fallback << "\n";
-      }
-    }
-    table.add_row(std::move(row));
-    meta.seed = mc_config.seed;
-    meta.replications = mc_config.replications;
-  } else {
-    // The testbed emulates its own communication layer and start-up sequence;
-    // refuse scenario semantics it cannot honour rather than silently
-    // dropping them (mc is the engine for those keys).
-    std::string unsupported;
-    if (scenario.rebalance_period > 0.0) unsupported = "policy=periodic";
-    if (scenario.delay_model != nullptr) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "delay.model/delay.shift";
-    }
-    if (scenario.arrivals.active()) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "arrivals.*";
-    }
-    if (!scenario.schedule.empty()) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "schedule";
-    }
-    if (!scenario.topology.complete()) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "topology";
-    }
-    if (!unsupported.empty()) {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
-                        "the testbed engine does not emulate " + unsupported +
-                            " for this scenario; use the default mc engine");
-    }
-    testbed::TestbedConfig tb = testbed::from_scenario(std::move(scenario));
-    const std::size_t realizations = engine.replications != 0 ? engine.replications : 60;
-    const std::uint64_t seed = engine.seed != 0 ? engine.seed : 0xbed2006;
-    const std::string policy_name = tb.policy->name();
-    const testbed::ExperimentSummary result =
-        testbed::run_experiment(tb, realizations, seed, engine.threads, sinks);
-    table.add_row({invocation.spec->name, policy_name, "testbed",
-                   std::to_string(realizations), util::format_double(result.mean(), 3),
-                   util::format_double(result.ci95(), 3),
-                   util::format_double(result.completion.std_error(), 3),
-                   util::format_double(result.completion.min(), 3),
-                   util::format_double(result.completion.max(), 3), "-", "-", "-",
-                   util::format_double(result.mean_failures, 2),
-                   util::format_double(result.mean_tasks_moved, 2), "-",
-                   util::format_double(result.state_age.mean(), 3),
-                   util::format_double(result.state_age.max(), 3),
-                   util::format_double(result.mean_state_lost, 1)});
-    meta.seed = seed;
-    meta.replications = realizations;
+  mc::McConfig mc_config;
+  if (on_testbed) {
+    mc_config.replications = 60;  // the paper's realization count
+    mc_config.seed = 0xbed2006;
   }
+  if (engine.replications != 0) mc_config.replications = engine.replications;
+  if (engine.seed != 0) mc_config.seed = engine.seed;
+  mc_config.threads = engine.threads;
+  mc_config.vr = engine.vr;
+  mc_config.cv_pilot = engine.cv_pilot;
+  mc_config.shards = engine.shards;
+  mc_config.obs = sinks;
+  const std::string policy_name = scenario.policy->name();
+  const mc::McResult result = mc::run_monte_carlo(scenario, mc_config);
+  // The testbed row leaves the quantile and bundle cells blank ("-").
+  const auto model_cell = [on_testbed](double value, int digits) {
+    return on_testbed ? std::string("-") : util::format_double(value, digits);
+  };
+  std::vector<std::string> row = {invocation.spec->name, policy_name, engine.engine,
+                                  std::to_string(mc_config.replications),
+                                  util::format_double(result.mean(), 3),
+                                  util::format_double(result.ci95(), 3),
+                                  util::format_double(result.std_error(), 3),
+                                  util::format_double(result.completion.min(), 3),
+                                  util::format_double(result.completion.max(), 3),
+                                  model_cell(result.p50, 3),
+                                  model_cell(result.p90, 3),
+                                  model_cell(result.p99, 3),
+                                  util::format_double(result.mean_failures, 2),
+                                  util::format_double(result.mean_tasks_moved, 2),
+                                  model_cell(result.mean_bundles, 2)};
+  if (engine.vr != mc::VrMode::kNone) {
+    append_vr_cells(result, row);
+    note_vr_metadata(result, meta);
+    if (!result.vr.fallback.empty()) {
+      out << "note: " << result.vr.fallback << "\n";
+    }
+  }
+  if (on_testbed) {
+    row.insert(row.end(), {util::format_double(result.state_age.mean(), 3),
+                           util::format_double(result.state_age.max(), 3),
+                           util::format_double(result.mean_state_lost, 1)});
+  }
+  table.add_row(std::move(row));
+  meta.seed = mc_config.seed;
+  meta.replications = mc_config.replications;
   meta.wall_seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -1089,12 +1063,15 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
     const ScenarioSpec& spec = find_scenario("lossy-exchange");
     RawConfig raw;
     raw.set("channel.states", "2");
-    testbed::TestbedConfig tb = testbed::from_scenario(spec.build(spec.schema.resolve(raw)));
+    const mc::ScenarioConfig scenario = testbed::emulate(spec.build(spec.schema.resolve(raw)));
+    mc::McConfig mc_config;
+    mc_config.replications = reps;
+    mc_config.seed = 0xbed2006;
+    mc_config.obs = profile_sinks();
     double mean = 0.0;
     const double ms = time_ms(3, [&] {
       bench_profile = {};
-      mean = testbed::run_experiment(tb, reps, 0xbed2006, /*threads=*/0, profile_sinks())
-                 .mean();
+      mean = mc::run_monte_carlo(scenario, mc_config).mean();
     });
     table.add_row({"perf_testbed_lossy", util::format_double(ms, 2),
                    std::to_string(reps) + " realizations, 2-state channel, mean " +

@@ -12,7 +12,6 @@
 #include "mc/theory.hpp"
 #include "stochastic/stats.hpp"
 #include "testbed/config.hpp"
-#include "testbed/experiment.hpp"
 #include "util/math.hpp"
 
 namespace lbsim::cli {
@@ -216,11 +215,20 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
   }
   const auto grid = expand_grid(axes);
 
+  // Every point is built the way it runs: testbed families through
+  // testbed::emulate, which refuses the semantics the emulation cannot honour.
+  const auto build_point = [&scenario](const Config& config) {
+    mc::ScenarioConfig built = scenario.build(config);
+    if (scenario.testbed) return testbed::emulate(std::move(built));
+    return built;
+  };
+
   // Validate-and-build the whole grid before a single replication runs: a
   // bad point (out-of-range value, malformed schedule — e.g. a comma-split
-  // timeline whose tail value is not a clause) must fail here with its
-  // precise ConfigError, not abort a half-finished sweep. Builds are
-  // microseconds next to an MC point, and the dry-run path builds anyway.
+  // timeline whose tail value is not a clause, a key the testbed cannot
+  // emulate) must fail here with its precise error, not abort a
+  // half-finished sweep. Builds are microseconds next to an MC point, and
+  // the dry-run path builds anyway.
   if (!options.dry_run) {
     for (const auto& assignment : grid) {
       RawConfig raw = base;
@@ -228,7 +236,7 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       for (const auto& [key, value] : assignment) {
         assign(key, value, raw, point_options);
       }
-      (void)scenario.build(scenario.schema.resolve(raw));
+      (void)build_point(scenario.schema.resolve(raw));
     }
   }
 
@@ -257,28 +265,17 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
     if (options.compare_theory) {
       header.insert(header.end(), {"theory_mean", "abs_err", "sigma_err"});
     }
-  } else if (scenario.testbed) {
-    // Testbed families swap the bundle column for the state-plane staleness
-    // diagnostics: mean/max peer state age observed at decision points, and
-    // state packets lost per realization.
-    header.insert(header.end(), {"mean_s", "ci95_s", "stderr_s", "reps", "mean_failures",
-                                 "mean_tasks_moved", "state_age_mean_s", "state_age_max_s",
-                                 "state_lost"});
-    if (options.quantiles) {
-      header.insert(header.end(), {"p50_s", "p90_s", "p99_s"});
-    }
-    if (options.ecdf_points > 0) {
-      for (std::size_t i = 0; i <= options.ecdf_points; ++i) {
-        std::string name = "q";
-        name += format_axis_value(100.0 * static_cast<double>(i) /
-                                  static_cast<double>(options.ecdf_points));
-        name += "_s";
-        header.push_back(std::move(name));
-      }
-    }
   } else {
     header.insert(header.end(), {"mean_s", "ci95_s", "stderr_s", "reps", "mean_failures",
-                                 "mean_tasks_moved", "mean_bundles"});
+                                 "mean_tasks_moved"});
+    if (scenario.testbed) {
+      // Testbed families swap the bundle column for the state-plane
+      // staleness diagnostics: mean/max peer state age observed at decision
+      // points, and state packets lost per realization.
+      header.insert(header.end(), {"state_age_mean_s", "state_age_max_s", "state_lost"});
+    } else {
+      header.push_back("mean_bundles");
+    }
     if (options.quantiles) {
       header.insert(header.end(), {"p50_s", "p90_s", "p99_s"});
     }
@@ -320,7 +317,7 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
     }
     if (options.dry_run) {
       // Build (but do not run) the scenario so every point is validated.
-      const mc::ScenarioConfig built = scenario.build(config);
+      const mc::ScenarioConfig built = build_point(config);
       row.push_back(built.policy->name());
       std::size_t shown = point_options.replications;
       if (!point_options.replications_explicit) {
@@ -360,35 +357,12 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       if (options.compare_theory) {
         append_open_theory_cells(built, steady, row);
       }
-    } else if (scenario.testbed) {
-      const std::size_t reps =
-          point_options.replications_explicit ? point_options.replications : 60;
-      testbed::TestbedConfig tb = testbed::from_scenario(scenario.build(config));
-      const testbed::ExperimentSummary summary = testbed::run_experiment(
-          tb, reps, point_options.seed, point_options.threads, options.obs);
-      row.push_back(util::format_double(summary.mean(), 3));
-      row.push_back(util::format_double(summary.ci95(), 3));
-      row.push_back(util::format_double(summary.completion.std_error(), 3));
-      row.push_back(std::to_string(reps));
-      row.push_back(util::format_double(summary.mean_failures, 2));
-      row.push_back(util::format_double(summary.mean_tasks_moved, 2));
-      row.push_back(util::format_double(summary.state_age.mean(), 3));
-      row.push_back(util::format_double(summary.state_age.max(), 3));
-      row.push_back(util::format_double(summary.mean_state_lost, 1));
-      if (options.quantiles) {
-        row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, 0.50), 3));
-        row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, 0.90), 3));
-        row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, 0.99), 3));
-      }
-      if (options.ecdf_points > 0) {
-        for (std::size_t i = 0; i <= options.ecdf_points; ++i) {
-          const double q = static_cast<double>(i) / static_cast<double>(options.ecdf_points);
-          row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, q), 3));
-        }
-      }
     } else {
       mc::McConfig mc_config;
       mc_config.replications = point_options.replications;
+      if (scenario.testbed && !point_options.replications_explicit) {
+        mc_config.replications = 60;  // the paper's realization count
+      }
       mc_config.threads = point_options.threads;
       mc_config.seed = point_options.seed;
       mc_config.collect_samples = options.ecdf_points > 0;
@@ -396,7 +370,7 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       mc_config.cv_pilot = point_options.cv_pilot;
       mc_config.shards = point_options.shards;
       mc_config.obs = options.obs;
-      const mc::ScenarioConfig built = scenario.build(config);
+      const mc::ScenarioConfig built = build_point(config);
       const mc::McResult mc_result = mc::run_monte_carlo(built, mc_config);
       row.push_back(util::format_double(mc_result.mean(), 3));
       row.push_back(util::format_double(mc_result.ci95(), 3));
@@ -404,7 +378,13 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       row.push_back(std::to_string(mc_config.replications));
       row.push_back(util::format_double(mc_result.mean_failures, 2));
       row.push_back(util::format_double(mc_result.mean_tasks_moved, 2));
-      row.push_back(util::format_double(mc_result.mean_bundles, 2));
+      if (scenario.testbed) {
+        row.push_back(util::format_double(mc_result.state_age.mean(), 3));
+        row.push_back(util::format_double(mc_result.state_age.max(), 3));
+        row.push_back(util::format_double(mc_result.mean_state_lost, 1));
+      } else {
+        row.push_back(util::format_double(mc_result.mean_bundles, 2));
+      }
       if (options.quantiles) {
         row.push_back(util::format_double(mc_result.p50, 3));
         row.push_back(util::format_double(mc_result.p90, 3));

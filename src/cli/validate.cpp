@@ -14,7 +14,6 @@
 #include "mc/theory.hpp"
 #include "stochastic/stats.hpp"
 #include "testbed/config.hpp"
-#include "testbed/experiment.hpp"
 
 namespace lbsim::cli {
 namespace {
@@ -263,12 +262,14 @@ ValidationReport run_validation(const ValidationOptions& options) {
       reduced.exchange_loss = channel.enabled() && !channel.loss.empty() ? channel.loss[0]
                                                                         : built.exchange_loss;
       reduced.state_channel = net::ChannelSpec{};
-      constexpr std::size_t kTestbedReps = 20;
-      const testbed::ExperimentSummary with_channel = testbed::run_experiment(
-          testbed::from_scenario(built.clone()), kTestbedReps, options.seed, options.threads);
-      const testbed::ExperimentSummary fallback = testbed::run_experiment(
-          testbed::from_scenario(std::move(reduced)), kTestbedReps, options.seed,
-          options.threads);
+      mc::McConfig testbed_config;
+      testbed_config.replications = 20;
+      testbed_config.seed = options.seed;
+      testbed_config.threads = options.threads;
+      const mc::McResult with_channel =
+          mc::run_monte_carlo(testbed::emulate(built.clone()), testbed_config);
+      const mc::McResult fallback =
+          mc::run_monte_carlo(testbed::emulate(std::move(reduced)), testbed_config);
       const bool failed = with_channel.completion.mean() != fallback.completion.mean() ||
                           with_channel.completion.max() != fallback.completion.max();
       ++report.checked;

@@ -56,13 +56,22 @@ double partition_fraction(const std::vector<double>& lambda_d,
 
 std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
                                   std::size_t i, std::size_t j) {
+  return lbp2_failure_transfer(nodes, i, j, total_processing_rate(nodes));
+}
+
+double total_processing_rate(const std::vector<markov::NodeParams>& nodes) {
+  double rate_sum = 0.0;
+  for (const auto& node : nodes) rate_sum += node.lambda_d;
+  return rate_sum;
+}
+
+std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
+                                  std::size_t i, std::size_t j, double rate_sum) {
   LBSIM_REQUIRE(nodes.size() >= 2, "need at least two nodes");
   LBSIM_REQUIRE(i < nodes.size() && j < nodes.size() && i != j, "nodes " << i << "," << j);
   const markov::NodeParams& failed = nodes[j];
   LBSIM_REQUIRE(failed.lambda_r > 0.0,
                 "node " << j << " has no recovery law; LF is undefined");
-  double rate_sum = 0.0;
-  for (const auto& node : nodes) rate_sum += node.lambda_d;
   const double receiver_share = nodes[i].lambda_d / rate_sum;
   const double expected_backlog = failed.lambda_d / failed.lambda_r;
   const double amount =

@@ -34,6 +34,15 @@ namespace lbsim::core {
 [[nodiscard]] std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
                                                 std::size_t i, std::size_t j);
 
+/// LF_ij with its denominator sum_k lambda_dk given as `rate_sum`, which must
+/// be total_processing_rate(nodes). A failure hook that scans every receiver
+/// computes the O(n) sum once instead of once per receiver.
+[[nodiscard]] std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
+                                                std::size_t i, std::size_t j, double rate_sum);
+
+/// sum_k lambda_dk over `nodes`, summed in index order.
+[[nodiscard]] double total_processing_rate(const std::vector<markov::NodeParams>& nodes);
+
 /// All transfers LBP-2 issues at t = 0 for gain K: node j sends
 /// round(K * p_ij * excess_j) tasks to each node i (paper eq. (7)). Entries
 /// with zero tasks are omitted.

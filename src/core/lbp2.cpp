@@ -42,6 +42,7 @@ std::vector<TransferDirective> Lbp2Policy::on_failure(int node, const SystemView
   std::vector<markov::NodeParams> nodes(n);
   for (std::size_t i = 0; i < n; ++i) nodes[i] = view.node_params(static_cast<int>(i));
 
+  const double rate_sum = total_processing_rate(nodes);
   std::vector<TransferDirective> directives;
   std::size_t available = view.queue_length(node);
   for (std::size_t i = 0; i < n && available > 0; ++i) {
@@ -49,7 +50,8 @@ std::vector<TransferDirective> Lbp2Policy::on_failure(int node, const SystemView
     // State-aware mode: don't ship to a peer believed down. The belief may be
     // stale (testbed state board) — wrong in either direction it costs gain.
     if (state_aware_ && !view.is_up(static_cast<int>(i))) continue;
-    const std::size_t lf = lbp2_failure_transfer(nodes, i, static_cast<std::size_t>(node));
+    const std::size_t lf =
+        lbp2_failure_transfer(nodes, i, static_cast<std::size_t>(node), rate_sum);
     if (lf == 0) continue;
     const std::size_t count = std::min(lf, available);
     available -= count;

@@ -55,11 +55,13 @@ std::vector<TransferDirective> PeriodicRebalancePolicy::on_failure(int node,
   const std::size_t n = view.node_count();
   std::vector<markov::NodeParams> nodes(n);
   for (std::size_t i = 0; i < n; ++i) nodes[i] = view.node_params(static_cast<int>(i));
+  const double rate_sum = total_processing_rate(nodes);
   std::vector<TransferDirective> directives;
   std::size_t available = view.queue_length(node);
   for (std::size_t i = 0; i < n && available > 0; ++i) {
     if (static_cast<int>(i) == node) continue;
-    const std::size_t lf = lbp2_failure_transfer(nodes, i, static_cast<std::size_t>(node));
+    const std::size_t lf =
+        lbp2_failure_transfer(nodes, i, static_cast<std::size_t>(node), rate_sum);
     if (lf == 0) continue;
     const std::size_t count = std::min(lf, available);
     available -= count;

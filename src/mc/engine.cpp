@@ -52,29 +52,35 @@ using ProfileClock = std::chrono::steady_clock;
 
 /// Folds one replication's result counters into a worker-local registry.
 /// Called from worker threads on their own registry — no synchronisation.
-void fold_run_metrics(obs::Registry& metrics, const RunResult& run) {
-  metrics.counter("mc.replications").add(1);
-  metrics.counter("mc.failures").add(run.failures);
-  metrics.counter("mc.recoveries").add(run.recoveries);
-  metrics.counter("mc.tasks_completed").add(run.tasks_completed);
-  metrics.counter("mc.tasks_arrived").add(run.tasks_arrived);
-  metrics.counter("env.transitions").add(run.env_transitions);
+void fold_run_metrics(obs::Registry& metrics, const RunResult& run, bool testbed) {
+  if (testbed) {
+    metrics.counter("testbed.realizations").add(1);
+    metrics.counter("testbed.failures").add(run.failures);
+    metrics.counter("testbed.recoveries").add(run.recoveries);
+    metrics.counter("testbed.tasks_completed").add(run.tasks_completed);
+    metrics.counter("net.state_packets_lost").add(run.state_packets_lost);
+  } else {
+    metrics.counter("mc.replications").add(1);
+    metrics.counter("mc.failures").add(run.failures);
+    metrics.counter("mc.recoveries").add(run.recoveries);
+    metrics.counter("mc.tasks_completed").add(run.tasks_completed);
+    metrics.counter("mc.tasks_arrived").add(run.tasks_arrived);
+    metrics.counter("env.transitions").add(run.env_transitions);
+  }
   metrics.counter("net.tasks_moved").add(run.tasks_moved);
   metrics.counter("net.bundles_sent").add(run.bundles_sent);
-  metrics.histogram("mc.completion_time").observe(run.completion_time);
+  metrics.histogram(testbed ? "testbed.completion_time" : "mc.completion_time")
+      .observe(run.completion_time);
 }
 
-/// Folds the worker simulator's cumulative DES-core stats (the simulator is
-/// reused across the worker's whole replication loop).
-void fold_queue_metrics(obs::Registry& metrics, const des::Simulator& sim) {
-  const des::EventQueue::Stats& qs = sim.queue_stats();
-  metrics.counter("des.events.scheduled").add(qs.scheduled);
-  metrics.counter("des.events.popped").add(qs.popped);
-  metrics.counter("des.events.cancelled").add(qs.cancelled);
-  metrics.counter("des.slab.compactions").add(qs.compactions);
-  metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
-  metrics.gauge("des.queue.max_shard_depth")
-      .max_of(static_cast<double>(qs.max_shard_depth));
+/// The driver-level throughput gauge, named for the scenario's engine.
+void set_reps_per_s(obs::Registry& metrics, const ScenarioConfig& config, std::size_t reps,
+                    ProfileClock::time_point wall_begin) {
+  const double wall_s = std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
+  if (wall_s > 0.0) {
+    metrics.gauge(config.testbed ? "testbed.reps_per_s" : "mc.reps_per_s")
+        .set(static_cast<double>(reps) / wall_s);
+  }
 }
 
 /// Stitches per-replication trace buffers into the sink in replication order,
@@ -209,6 +215,7 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
       // measured reps/s and the mc.vr.surrogate_runs counter instead, so
       // profile.reps keeps meaning "replications".
       if (mc.obs.profile != nullptr) controls.profile = &out.profile;
+      controls.metrics = metrics;
       std::uint64_t stream_rep = rep;
       if (antithetic) {
         // Pair (2k, 2k+1): one stream id used twice, the odd member mirrored.
@@ -225,7 +232,7 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
       out.failures += static_cast<double>(run.failures);
       out.tasks_moved += static_cast<double>(run.tasks_moved);
       out.bundles += static_cast<double>(run.bundles_sent);
-      if (metrics != nullptr) fold_run_metrics(*metrics, run);
+      if (metrics != nullptr) fold_run_metrics(*metrics, run, config.testbed);
       if (controls.profile != nullptr) {
         controls.profile->fold_s +=
             std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
@@ -236,13 +243,13 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
         // tightly coupled to T.
         RunControls ctrl_controls;
         ctrl_controls.antithetic = controls.antithetic;
+        ctrl_controls.metrics = metrics;
         const RunResult ctrl = run_scenario(local_surrogate, mc.seed, stream_rep, nullptr,
                                             sim, SteadyProbe{}, ctrl_controls);
         control[rep] = ctrl.completion_time;
         if (metrics != nullptr) metrics->counter("mc.vr.surrogate_runs").add(1);
       }
     }
-    if (metrics != nullptr) fold_queue_metrics(*metrics, sim);
   };
 
   if (threads == 1) {
@@ -268,13 +275,7 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
     if (mc.obs.profile != nullptr) mc.obs.profile->merge(p.profile);
   }
   if (mc.obs.trace != nullptr) fold_traces(*mc.obs.trace, rep_traces);
-  if (mc.obs.metrics != nullptr) {
-    const double wall_s =
-        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
-    if (wall_s > 0.0) {
-      mc.obs.metrics->gauge("mc.reps_per_s").set(static_cast<double>(reps) / wall_s);
-    }
-  }
+  if (mc.obs.metrics != nullptr) set_reps_per_s(*mc.obs.metrics, config, reps, wall_begin);
   const double n = static_cast<double>(reps);
   result.mean_failures = failures / n;
   result.mean_tasks_moved = moved / n;
@@ -390,9 +391,11 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   struct Partial {
     stoch::RunningStats completion;
     stoch::RunningStats sojourn;
+    stoch::RunningStats state_age;
     double failures = 0.0;
     double tasks_moved = 0.0;
     double bundles = 0.0;
+    double state_lost = 0.0;
     std::vector<double> samples;
     // Streaming quantile sketches (used when raw samples are not kept).
     stoch::P2Quantile p50{0.5};
@@ -421,6 +424,7 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
     obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
     RunControls controls;
     if (mc.obs.profile != nullptr) controls.profile = &out.profile;
+    controls.metrics = metrics;
     if (keep_samples) out.samples.reserve(mc.replications / threads + 1);
     for (std::size_t rep = tid; rep < mc.replications; rep += threads) {
       RunTrace* trace = mc.obs.trace != nullptr ? &rep_traces[rep] : nullptr;
@@ -430,9 +434,11 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
       if (controls.profile != nullptr) fold_begin = ProfileClock::now();
       out.completion.add(run.completion_time);
       out.sojourn.merge(run.sojourn);
+      out.state_age.merge(run.state_age);
       out.failures += static_cast<double>(run.failures);
       out.tasks_moved += static_cast<double>(run.tasks_moved);
       out.bundles += static_cast<double>(run.bundles_sent);
+      out.state_lost += static_cast<double>(run.state_packets_lost);
       if (keep_samples) {
         out.samples.push_back(run.completion_time);
       } else {
@@ -440,13 +446,12 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
         out.p90.add(run.completion_time);
         out.p99.add(run.completion_time);
       }
-      if (metrics != nullptr) fold_run_metrics(*metrics, run);
+      if (metrics != nullptr) fold_run_metrics(*metrics, run, config.testbed);
       if (controls.profile != nullptr) {
         controls.profile->fold_s +=
             std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
       }
     }
-    if (metrics != nullptr) fold_queue_metrics(*metrics, sim);
   };
 
   if (threads == 1) {
@@ -462,29 +467,28 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   double failures = 0.0;
   double moved = 0.0;
   double bundles = 0.0;
+  double state_lost = 0.0;
   for (Partial& p : partials) {
     result.completion.merge(p.completion);
     result.sojourn.merge(p.sojourn);
+    result.state_age.merge(p.state_age);
     failures += p.failures;
     moved += p.tasks_moved;
     bundles += p.bundles;
+    state_lost += p.state_lost;
     result.samples.insert(result.samples.end(), p.samples.begin(), p.samples.end());
     if (mc.obs.metrics != nullptr) mc.obs.metrics->merge(p.metrics);
     if (mc.obs.profile != nullptr) mc.obs.profile->merge(p.profile);
   }
   if (mc.obs.trace != nullptr) fold_traces(*mc.obs.trace, rep_traces);
   if (mc.obs.metrics != nullptr) {
-    const double wall_s =
-        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
-    if (wall_s > 0.0) {
-      mc.obs.metrics->gauge("mc.reps_per_s")
-          .set(static_cast<double>(mc.replications) / wall_s);
-    }
+    set_reps_per_s(*mc.obs.metrics, config, mc.replications, wall_begin);
   }
   const double n = static_cast<double>(mc.replications);
   result.mean_failures = failures / n;
   result.mean_tasks_moved = moved / n;
   result.mean_bundles = bundles / n;
+  result.mean_state_lost = state_lost / n;
   if (keep_samples) {
     std::sort(result.samples.begin(), result.samples.end());
     result.p50 = stoch::quantile_sorted(result.samples, 0.5);

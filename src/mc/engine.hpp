@@ -92,6 +92,10 @@ struct McResult {
   double mean_failures = 0.0;       ///< average churn events per run
   double mean_tasks_moved = 0.0;    ///< average migrated tasks per run
   double mean_bundles = 0.0;        ///< average transfers per run
+  /// Peer state age at every decision, pooled over runs (testbed emulation;
+  /// see RunResult::state_age).
+  stoch::RunningStats state_age;
+  double mean_state_lost = 0.0;     ///< average state packets dropped per run
   std::vector<double> samples;      ///< raw times, sorted (empty unless collect_samples)
   /// Completion-time quantiles, always populated. Exact type-7 values (and
   /// thread-count independent, like every other statistic) when
@@ -118,7 +122,9 @@ struct McResult {
 
 /// Runs the experiment. Deterministic in (config, mc.seed, mc.replications) —
 /// except the p50/p90/p99 summary above kExactQuantileCap replications, which
-/// is a streaming estimate (see McResult).
+/// is a streaming estimate (see McResult). Testbed scenarios report under the
+/// testbed.* metric names (testbed.realizations, testbed.completion_time,
+/// testbed.reps_per_s, ...), model scenarios under mc.*.
 [[nodiscard]] McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc);
 
 }  // namespace lbsim::mc

@@ -1,6 +1,7 @@
 #include "mc/scenario.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <optional>
 
@@ -8,7 +9,9 @@
 #include "node/compute_element.hpp"
 #include "node/failure_process.hpp"
 #include "net/link.hpp"
+#include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "testbed/state_exchange.hpp"
 #include "util/error.hpp"
 
 namespace lbsim::mc {
@@ -84,6 +87,23 @@ void validate_config(const ScenarioConfig& config, bool allow_unbounded) {
     LBSIM_REQUIRE(!config.schedule.scheduled(i) || !config.starts_down(i),
                   "node " << i << " has both a schedule clause and an initially_down bit; "
                              "use down@0-... in the schedule instead");
+    LBSIM_REQUIRE(!config.starts_down(i) || config.params.nodes[i].lambda_r > 0.0,
+                  "initially-down node " << i << " cannot recover (lambda_r == 0)");
+  }
+  if (config.testbed) {
+    LBSIM_REQUIRE(config.rebalance_period == 0.0 && !config.arrivals.active() &&
+                      config.schedule.empty() && config.topology.complete(),
+                  "the testbed emulation runs no periodic timer, arrival stream, schedule "
+                  "or non-complete topology");
+    LBSIM_REQUIRE(config.exchange_period > 0.0, "exchange_period=" << config.exchange_period);
+    LBSIM_REQUIRE(config.exchange_latency >= 0.0,
+                  "exchange_latency=" << config.exchange_latency);
+    // Loss 1.0 is the legitimate total-blackout boundary; only > 1 is an error.
+    LBSIM_REQUIRE(config.exchange_loss >= 0.0 && config.exchange_loss <= 1.0,
+                  "exchange_loss=" << config.exchange_loss);
+    net::validate(config.state_channel);
+    LBSIM_REQUIRE(!config.state_channel.env_coupled || config.environment.enabled(),
+                  "channel env coupling needs a configured environment");
   }
 }
 
@@ -133,7 +153,36 @@ struct CompletionTracker {
   }
 };
 
+/// The state an env-coupled channel is floored to in environment state
+/// `env_state`: environment states map linearly onto channel states, so the
+/// worst storm jams the state plane hardest.
+std::size_t channel_floor(const ScenarioConfig& config, std::size_t env_state) {
+  const std::size_t k_env = config.environment.states;
+  const std::size_t k_ch = config.state_channel.states;
+  const double frac =
+      k_env > 1 ? static_cast<double>(env_state) / static_cast<double>(k_env - 1) : 0.0;
+  return static_cast<std::size_t>(std::lround(frac * static_cast<double>(k_ch - 1)));
+}
+
+/// Adds the queue activity between two snapshots of a simulator's cumulative
+/// stats. The high-water marks are cumulative too, so their gauges keep the
+/// running maximum.
+void add_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& before,
+                       const des::EventQueue::Stats& after) {
+  metrics.counter("des.events.scheduled").add(after.scheduled - before.scheduled);
+  metrics.counter("des.events.popped").add(after.popped - before.popped);
+  metrics.counter("des.events.cancelled").add(after.cancelled - before.cancelled);
+  metrics.counter("des.slab.compactions").add(after.compactions - before.compactions);
+  metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(after.max_depth));
+  metrics.gauge("des.queue.max_shard_depth")
+      .max_of(static_cast<double>(after.max_shard_depth));
+}
+
 }  // namespace
+
+void validate(const ScenarioConfig& config) {
+  validate_config(config, /*allow_unbounded=*/false);
+}
 
 ScenarioConfig ScenarioConfig::clone() const {
   ScenarioConfig copy;
@@ -149,6 +198,7 @@ ScenarioConfig ScenarioConfig::clone() const {
   copy.schedule = schedule;
   copy.steady = steady;
   copy.topology = topology;
+  copy.testbed = testbed;
   copy.exchange_period = exchange_period;
   copy.exchange_latency = exchange_latency;
   copy.exchange_loss = exchange_loss;
@@ -167,9 +217,10 @@ ScenarioConfig make_two_node_scenario(const markov::TwoNodeParams& params, std::
 }
 
 RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
-                       std::uint64_t replication, RunTrace* trace) {
+                       std::uint64_t replication, RunTrace* trace,
+                       const RunControls& controls) {
   des::Simulator sim;
-  return run_scenario(config, seed, replication, trace, sim);
+  return run_scenario(config, seed, replication, trace, sim, SteadyProbe{}, controls);
 }
 
 RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
@@ -194,19 +245,22 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
 
   validate_config(config, /*allow_unbounded=*/probe.target_completions > 0);
   const std::size_t n = config.params.nodes.size();
+  const bool on_testbed = config.testbed;
   sim.reset();  // recycles the pooled event slab when the caller reuses `sim`
+  const des::EventQueue::Stats queue_before = sim.queue_stats();
 
   // Disjoint, deterministic RNG streams per (replication, role, node):
   // results do not depend on thread scheduling. Stream ids keep the
-  // historical layout ([0, n) service, [n, 2n) churn, 2n network); the
-  // environment and arrival streams are appended only when configured, so
-  // scenarios without them stay bit-for-bit identical to earlier releases.
+  // historical layout ([0, n) service, [n, 2n) churn, 2n network, and the
+  // testbed's state plane at 2n+1); the environment, arrival and policy
+  // streams follow, each appended only when configured, so scenarios without
+  // them stay bit-for-bit identical to earlier releases.
   const bool has_environment = config.environment.enabled();
   const bool has_arrivals = config.arrivals.active();
   const bool has_policy_rng = config.policy->needs_rng();
   const std::uint64_t streams_per_run = 2 * static_cast<std::uint64_t>(n) + 1 +
-                                        (has_environment ? 1 : 0) + (has_arrivals ? 1 : 0) +
-                                        (has_policy_rng ? 1 : 0);
+                                        (on_testbed ? 1 : 0) + (has_environment ? 1 : 0) +
+                                        (has_arrivals ? 1 : 0) + (has_policy_rng ? 1 : 0);
   const std::uint64_t base = replication * streams_per_run;
   // One backing vector: entries [0, n) are the service streams, [n, 2n) the
   // churn streams (same stream ids as always).
@@ -214,41 +268,45 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   rngs.reserve(2 * n);
   for (std::size_t i = 0; i < 2 * n; ++i) rngs.emplace_back(seed, base + i);
   stoch::RngStream net_rng(seed, base + 2 * n);
-  // Stream construction is not free (long-jump decorrelation), so the env and
-  // arrival streams exist only when their process does.
+  // Stream construction is not free (long-jump decorrelation), so the
+  // optional streams exist only when their process does, each in the next
+  // free slot.
+  std::uint64_t next_stream = base + 2 * n + 1;
+  std::optional<stoch::RngStream> state_rng;
+  if (on_testbed) state_rng.emplace(seed, next_stream++);
   std::optional<stoch::RngStream> env_rng;
-  if (has_environment) env_rng.emplace(seed, base + 2 * n + 1);
+  if (has_environment) env_rng.emplace(seed, next_stream++);
   std::optional<stoch::RngStream> arrival_rng;
-  if (has_arrivals) {
-    arrival_rng.emplace(seed, base + 2 * n + 1 + (has_environment ? 1 : 0));
-  }
+  if (has_arrivals) arrival_rng.emplace(seed, next_stream++);
   // Randomised policies (RandomProbePolicy) draw from their own appended
   // stream, re-bound every replication; deterministic policies leave the
   // stream layout — and therefore every historical result — untouched.
   std::optional<stoch::RngStream> policy_rng;
   if (has_policy_rng) {
-    policy_rng.emplace(seed, base + 2 * n + 1 + (has_environment ? 1 : 0) +
-                                 (has_arrivals ? 1 : 0));
+    policy_rng.emplace(seed, next_stream++);
     config.policy->bind_rng(&*policy_rng);
   }
   if (controls.antithetic) {
     // The twin run: identical stream ids and draw counts, every
     // uniform01-derived variate mirrored. Applied uniformly so the coupling
-    // covers service, churn, network, environment and arrival randomness.
+    // covers all of the replication's randomness.
     for (stoch::RngStream& rng : rngs) rng.set_antithetic(true);
     net_rng.set_antithetic(true);
+    if (state_rng) state_rng->set_antithetic(true);
     if (env_rng) env_rng->set_antithetic(true);
     if (arrival_rng) arrival_rng->set_antithetic(true);
     if (policy_rng) policy_rng->set_antithetic(true);
   }
 
-  // --- nodes ---
+  // --- nodes (service law: the model draws Exp(lambda_d) per task; the
+  //     testbed serves a task of size s in s / lambda_d) ---
   std::vector<std::unique_ptr<node::ComputeElement>> ces;
   ces.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
+    const double rate = config.params.nodes[i].lambda_d;
     ces.push_back(std::make_unique<node::ComputeElement>(
         sim, static_cast<int>(i),
-        app::exponential_service(config.params.nodes[i].lambda_d), rngs[i]));
+        on_testbed ? app::calibrated_service(rate) : app::exponential_service(rate), rngs[i]));
   }
 
   // --- structure-of-arrays hot state: the per-node queue lengths and up
@@ -272,13 +330,26 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
 
   // --- links (full mesh, built lazily: an n-node replication only pays for
   //     the directed pairs the policy actually uses, which matters once
-  //     n*n outgrows the handful of transfers a run performs) ---
+  //     n*n outgrows the handful of transfers a run performs). The testbed's
+  //     net::Network owns its links, built with the same delay law, next to
+  //     the UDP state plane whose channel also scales every data delay ---
   const net::ExponentialBundleDelay default_delay(config.params.per_task_delay_mean);
   const net::TransferDelayModel& delay_proto =
       config.delay_model ? *config.delay_model
                          : static_cast<const net::TransferDelayModel&>(default_delay);
-  std::vector<std::unique_ptr<net::Link>> links(n * n);
+  std::optional<net::Network> network;
+  if (on_testbed) {
+    net::Network::Config net_config;
+    net_config.data_delay = delay_proto.clone();
+    net_config.state_latency = config.exchange_latency;
+    net_config.state_loss_probability = config.exchange_loss;
+    net_config.channel = config.state_channel;
+    network.emplace(sim, n, std::move(net_config), net_rng, *state_rng);
+    if (trace != nullptr) network->set_event_trace(&trace->events);
+  }
+  std::vector<std::unique_ptr<net::Link>> links(network ? 0 : n * n);
   const auto link_for = [&](std::size_t from, std::size_t to) -> net::Link& {
+    if (network) return network->link(static_cast<int>(from), static_cast<int>(to));
     std::unique_ptr<net::Link>& link = links[from * n + to];
     if (!link) {
       link = std::make_unique<net::Link>(sim, static_cast<int>(from), static_cast<int>(to),
@@ -302,12 +373,21 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
         [&tracker](const node::Task& task) { tracker.on_complete(task); });
   }
 
-  // --- initial workloads (unit tasks; the abstract model draws service times
-  //     from Exp(lambda_d) regardless of size) ---
+  // --- initial workloads: unit tasks on the model (it draws service times
+  //     from Exp(lambda_d) regardless of size); on the testbed, tasks with
+  //     Exp(1) sizes drawn from each node's service stream (Fig. 1) ---
   std::uint64_t next_id = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    ces[i]->enqueue_units(config.workloads[i], next_id);
-    next_id += config.workloads[i];
+  if (on_testbed) {
+    app::WorkloadGenerator generator;
+    for (std::size_t i = 0; i < n; ++i) {
+      ces[i]->enqueue_batch(
+          generator.generate(config.workloads[i], static_cast<int>(i), rngs[i]));
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      ces[i]->enqueue_units(config.workloads[i], next_id);
+      next_id += config.workloads[i];
+    }
   }
 
   // --- topology (non-complete graphs restrict every policy's neighbourhood;
@@ -332,13 +412,28 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     }
   }
 
-  // --- transfer plumbing ---
+  // --- decision plane: the model's policy reads the exact LiveView; each
+  //     testbed node decides on its own NodeLocalView — its queue live, its
+  //     peers as last heard on the state board the broadcaster feeds ---
   LiveView view(config.params, hot_queue_len, hot_up);
   if (!topo_states.empty()) {
     const std::size_t s0 =
         config.topology.dynamic() ? config.environment.initial_state : 0;
     view.set_topology(&topo_states[s0]);
   }
+  std::optional<testbed::StateBoard> board;
+  std::vector<testbed::NodeLocalView> local_views;
+  std::optional<testbed::StateBroadcaster> broadcaster;
+  if (on_testbed) {
+    board.emplace(n);
+    local_views.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      local_views.emplace_back(static_cast<int>(i), config.params, ces, *board);
+    }
+    broadcaster.emplace(sim, *network, *board, ces, config.params, config.exchange_period);
+  }
+
+  // --- transfer plumbing ---
   // The delivery handler captures one pointer to this per-run context so the
   // std::function stays in its small-object buffer (bundle size for the trace
   // is recovered from the transfer itself).
@@ -348,8 +443,13 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     des::Simulator* sim;
   };
   DeliveryCtx delivery{&ces, trace, &sim};
-  const auto execute = [&](const std::vector<core::TransferDirective>& directives) {
+  // `acting_node` >= 0 marks a node-local (testbed) decision, which may only
+  // ship that node's own tasks; -1 is the model's global decision.
+  const auto execute = [&](const std::vector<core::TransferDirective>& directives,
+                           int acting_node) {
     for (const core::TransferDirective& d : directives) {
+      LBSIM_REQUIRE(acting_node < 0 || d.from == acting_node,
+                    "node " << acting_node << " directed a transfer from " << d.from);
       LBSIM_REQUIRE(d.from >= 0 && static_cast<std::size_t>(d.from) < n, "from=" << d.from);
       LBSIM_REQUIRE(d.to >= 0 && static_cast<std::size_t>(d.to) < n && d.to != d.from,
                     "to=" << d.to);
@@ -368,15 +468,18 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                            static_cast<std::uint32_t>(batch.size()));
       }
       link_for(static_cast<std::size_t>(d.from), static_cast<std::size_t>(d.to))
-          .send(std::move(batch), [ctx = &delivery](net::DataTransfer&& xfer) {
-            if (ctx->trace != nullptr) {
-              ctx->trace->events.emit(ctx->sim->now(), obs::Kind::kTransferDeliver,
-                                      xfer.from, xfer.to,
-                                      static_cast<std::uint32_t>(xfer.tasks.size()));
-            }
-            (*ctx->ces)[static_cast<std::size_t>(xfer.to)]->enqueue_batch(
-                std::move(xfer.tasks));
-          });
+          .send(
+              std::move(batch),
+              [ctx = &delivery](net::DataTransfer&& xfer) {
+                if (ctx->trace != nullptr) {
+                  ctx->trace->events.emit(ctx->sim->now(), obs::Kind::kTransferDeliver,
+                                          xfer.from, xfer.to,
+                                          static_cast<std::uint32_t>(xfer.tasks.size()));
+                }
+                (*ctx->ces)[static_cast<std::size_t>(xfer.to)]->enqueue_batch(
+                    std::move(xfer.tasks));
+              },
+              network ? network->channel().data_multiplier() : 1.0);
     }
   };
 
@@ -392,32 +495,49 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     des::Simulator* sim;
     core::LoadBalancingPolicy* policy;
     LiveView* view;
+    const testbed::StateBoard* board;  // null on the model
+    const std::vector<testbed::NodeLocalView>* local_views;
     const decltype(execute)* execute_directives;
+
+    /// The view `node` decides on. On the testbed this also records the age
+    /// of every peer entry the decision consults (RunResult::state_age).
+    const core::SystemView& view_of(int node) const {
+      if (board == nullptr) return *view;
+      for (std::size_t peer = 0; peer < local_views->size(); ++peer) {
+        if (static_cast<int>(peer) == node) continue;
+        result->state_age.add(sim->now() -
+                              board->last_heard(node, static_cast<int>(peer)).timestamp);
+      }
+      return (*local_views)[static_cast<std::size_t>(node)];
+    }
+    /// Directive owner check: node-local decisions on the testbed only.
+    int acting(int node) const { return board == nullptr ? -1 : node; }
 
     void on_failure(int node_id) const {
       ++result->failures;
       if (trace != nullptr) trace->events.emit(sim->now(), obs::Kind::kFail, node_id);
       const std::vector<core::TransferDirective> directives =
-          policy->on_failure(node_id, *view);
+          policy->on_failure(node_id, view_of(node_id));
       if (trace != nullptr) {
         trace->events.emit(sim->now(), obs::Kind::kPolicyDecision, node_id, -1,
                            static_cast<std::uint32_t>(directives.size()));
       }
-      (*execute_directives)(directives);
+      (*execute_directives)(directives, acting(node_id));
     }
     void on_recovery(int node_id) const {
       ++result->recoveries;
       if (trace != nullptr) trace->events.emit(sim->now(), obs::Kind::kRecover, node_id);
       const std::vector<core::TransferDirective> directives =
-          policy->on_recovery(node_id, *view);
+          policy->on_recovery(node_id, view_of(node_id));
       if (trace != nullptr) {
         trace->events.emit(sim->now(), obs::Kind::kPolicyDecision, node_id, -1,
                            static_cast<std::uint32_t>(directives.size()));
       }
-      (*execute_directives)(directives);
+      (*execute_directives)(directives, acting(node_id));
     }
   };
-  ChurnHooks hooks{&result, trace, &sim, &policy, &view, &execute};
+  ChurnHooks hooks{&result, trace, &sim, &policy, &view, board ? &*board : nullptr,
+                   &local_views, &execute};
   // Scheduled nodes swap the alternating-renewal driver for their
   // deterministic timeline; both feed the same churn hooks, so policies see
   // an identical event interface. (Sized lazily: unscheduled scenarios skip
@@ -447,15 +567,20 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
       ttf = std::make_unique<stoch::Exponential>(np.lambda_f);
       ttr = std::make_unique<stoch::Exponential>(np.lambda_r);
     } else if (config.starts_down(i)) {
-      LBSIM_REQUIRE(np.lambda_r > 0.0, "initially-down node " << i << " cannot recover");
       ttr = std::make_unique<stoch::Exponential>(np.lambda_r);
     }
-    auto process = std::make_unique<node::FailureProcess>(sim, *ces[i], std::move(ttf),
-                                                          std::move(ttr), rngs[n + i]);
-    process->set_failure_handler([&hooks](int node_id) { hooks.on_failure(node_id); });
-    process->set_recovery_handler([&hooks](int node_id) { hooks.on_recovery(node_id); });
-    churn.push_back(std::move(process));
+    churn.push_back(std::make_unique<node::FailureProcess>(sim, *ces[i], std::move(ttf),
+                                                           std::move(ttr), rngs[n + i]));
   }
+  // Attached when the t = 0 stage below says so: the testbed starts its
+  // initially-down nodes before any hook is listening.
+  const auto attach_churn_hooks = [&] {
+    for (const auto& process : churn) {
+      if (!process) continue;
+      process->set_failure_handler([&hooks](int node_id) { hooks.on_failure(node_id); });
+      process->set_recovery_handler([&hooks](int node_id) { hooks.on_recovery(node_id); });
+    }
+  };
 
   // --- environment (common-shock CTMC modulating every failure hazard) ---
   std::optional<env::Environment> environment;
@@ -463,6 +588,10 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     environment.emplace(sim, config.environment, *env_rng);
     if (trace != nullptr) environment->set_event_trace(&trace->events);
   }
+  // An env-coupled state channel is floored by the environment state (storms
+  // jam the state plane too).
+  net::Network* coupled_channel =
+      network && config.state_channel.env_coupled ? &*network : nullptr;
 
   // --- external arrivals (open-system task injection) ---
   std::optional<env::ArrivalProcess> arrivals;
@@ -503,7 +632,7 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                   static_cast<std::int32_t>(node), -1,
                                   static_cast<std::uint32_t>(directives.size()));
         }
-        (*ctx->execute_directives)(directives);
+        (*ctx->execute_directives)(directives, -1);
       }
       if (last) {
         ctx->tracker->injection_done = true;
@@ -513,9 +642,10 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   }
 
   // Wire the environment's listener once its consumers exist: re-arm every
-  // stochastic failure process at the new state's hazard and re-draw the MMPP
-  // gap. Listener fires per transition (rare), so the std::function is off
-  // the per-event hot path.
+  // stochastic failure process at the new state's hazard, re-draw the MMPP
+  // gap, swap the active topology and floor a coupled channel. Listener
+  // fires per transition (rare), so the std::function is off the per-event
+  // hot path.
   if (environment) {
     struct EnvCtx {
       std::vector<std::unique_ptr<node::FailureProcess>>* churn;
@@ -523,13 +653,15 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
       env::ArrivalProcess* arrivals;
       LiveView* view;
       const std::vector<net::Topology>* topo_states;  // null unless edge churn
+      net::Network* coupled_channel;
+      const ScenarioConfig* config;
     };
     // (The kEnvTransition trace record is emitted by the Environment itself,
     // before this listener runs.)
     environment->set_transition_listener(
         [ctx = EnvCtx{&churn, &*environment, arrivals ? &*arrivals : nullptr, &view,
-                      config.topology.dynamic() ? &topo_states : nullptr}](
-            std::size_t /*from*/, std::size_t to) {
+                      config.topology.dynamic() ? &topo_states : nullptr, coupled_channel,
+                      &config}](std::size_t /*from*/, std::size_t to) {
           const double mult = ctx.environment->spec().failure_mult[to];
           for (const auto& process : *ctx.churn) {
             if (process) process->set_hazard_multiplier(mult);
@@ -537,6 +669,9 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
           if (ctx.arrivals != nullptr) ctx.arrivals->on_environment_transition();
           if (ctx.topo_states != nullptr) {
             ctx.view->set_topology(&(*ctx.topo_states)[to]);
+          }
+          if (ctx.coupled_channel != nullptr) {
+            ctx.coupled_channel->set_channel_floor(channel_floor(*ctx.config, to));
           }
         });
     // The initial state's multiplier applies to the very first TTF draws.
@@ -546,44 +681,84 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     }
   }
 
-  // --- t = 0: policy's initial action, then churn starts ---
-  {
+  // `tick` outlives the whole run (the simulation drains inside this scope),
+  // so the rescheduling lambda can reference it directly — a self-captured
+  // shared_ptr here leaks one cycle per replication.
+  std::function<void()> tick;
+  if (!on_testbed) {
+    // --- t = 0: policy's initial action, then churn starts ---
+    attach_churn_hooks();
     const std::vector<core::TransferDirective> initial = policy.on_start(view);
     if (trace != nullptr) {
       trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, -1, -1,
                          static_cast<std::uint32_t>(initial.size()));
     }
-    execute(initial);
-  }
-  std::function<void()> tick;
-  if (config.rebalance_period > 0.0) {
-    // Recurring timer for periodic policies; stops mattering once done.
-    // `tick` outlives the whole run (the simulation drains inside this
-    // scope), so the rescheduling lambda can reference it directly — a
-    // self-captured shared_ptr here leaks one cycle per replication.
-    tick = [&] {
-      if (tracker.done) return;
-      const std::vector<core::TransferDirective> directives = policy.on_periodic(view);
-      if (trace != nullptr) {
-        trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, -1, -1,
-                           static_cast<std::uint32_t>(directives.size()));
-      }
-      execute(directives);
+    execute(initial, -1);
+    if (config.rebalance_period > 0.0) {
+      // Recurring timer for periodic policies; stops mattering once done.
+      tick = [&] {
+        if (tracker.done) return;
+        const std::vector<core::TransferDirective> directives = policy.on_periodic(view);
+        if (trace != nullptr) {
+          trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, -1, -1,
+                             static_cast<std::uint32_t>(directives.size()));
+        }
+        execute(directives, -1);
+        sim.schedule_in(config.rebalance_period, tick);
+      };
       sim.schedule_in(config.rebalance_period, tick);
-    };
-    sim.schedule_in(config.rebalance_period, tick);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!schedules.empty() && schedules[i] != nullptr) {
-      schedules[i]->start();  // fires a down@0 synchronously, like initially_down
-      continue;
     }
-    const bool can_churn = config.churn_enabled && config.params.nodes[i].lambda_f > 0.0;
-    const bool starts_down = config.starts_down(i);
-    if (can_churn || starts_down) churn[i]->start(starts_down);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!schedules.empty() && schedules[i] != nullptr) {
+        schedules[i]->start();  // fires a down@0 synchronously, like initially_down
+        continue;
+      }
+      const bool can_churn = config.churn_enabled && config.params.nodes[i].lambda_f > 0.0;
+      const bool starts_down = config.starts_down(i);
+      if (can_churn || starts_down) churn[i]->start(starts_down);
+    }
+    if (environment) environment->start();
+    if (arrivals) arrivals->start();
+  } else {
+    // --- t = 0 on the testbed (Section 3). Initially-down nodes fail before
+    //     any hook listens, so starting down is an initial condition (seen by
+    //     every t = 0 decision), not a t = 0 failure event. Every node knows
+    //     the exact initial state (the paper's assumption), then runs the
+    //     policy on its own view and executes only its own transfers — the
+    //     distributed decision in which every node computes the same schedule
+    //     from synced state. Then churn, the environment and the periodic
+    //     broadcasts start. ---
+    for (std::size_t i = 0; i < n; ++i) {
+      if (config.starts_down(i)) churn[i]->start(/*initially_down=*/true);
+    }
+    broadcaster->seed_exact_state();
+    for (std::size_t i = 0; i < n; ++i) {
+      const int self = static_cast<int>(i);
+      std::vector<core::TransferDirective> mine;
+      for (const core::TransferDirective& d : policy.on_start(hooks.view_of(self))) {
+        if (d.from == self) mine.push_back(d);
+      }
+      if (trace != nullptr) {
+        trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, self, -1,
+                           static_cast<std::uint32_t>(mine.size()));
+      }
+      execute(mine, self);
+    }
+    attach_churn_hooks();
+    if (environment) {
+      if (coupled_channel != nullptr) {
+        coupled_channel->set_channel_floor(channel_floor(config, environment->state()));
+      }
+      environment->start();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (config.churn_enabled && config.params.nodes[i].lambda_f > 0.0 &&
+          !config.starts_down(i)) {
+        churn[i]->start();
+      }
+    }
+    broadcaster->start();
   }
-  if (environment) environment->start();
-  if (arrivals) arrivals->start();
 
   ProfileClock::time_point profile_loop{};
   if (controls.profile != nullptr) {
@@ -606,7 +781,11 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
 
   result.completion_time = tracker.completion_time;
   if (environment) result.env_transitions = environment->transitions();
+  if (network) result.state_packets_lost = network->state_packets_lost();
   for (const auto& ce : ces) result.tasks_completed += ce->stats().tasks_completed;
+  if (controls.metrics != nullptr) {
+    add_queue_metrics(*controls.metrics, queue_before, sim.queue_stats());
+  }
   return result;
 }
 

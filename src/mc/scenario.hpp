@@ -1,9 +1,11 @@
 #pragma once
 /// \file
-/// One Monte-Carlo replication of the abstract model of Section 2: exponential
-/// service per task, alternating exponential failure/recovery per node, and
-/// exponential load-dependent bundle delays — exactly the laws the
-/// regeneration analysis assumes, so MC means must converge to the solver's.
+/// One replication — the only replication kernel. By default it runs the
+/// abstract model of Section 2: exponential service per task, alternating
+/// exponential failure/recovery per node, and exponential load-dependent
+/// bundle delays — exactly the laws the regeneration analysis assumes, so MC
+/// means must converge to the solver's. ScenarioConfig::testbed swaps in the
+/// Section 3 emulation's seams (service law, delay scaling, decision plane).
 
 #include <cstdint>
 #include <memory>
@@ -84,18 +86,39 @@ struct ScenarioConfig {
   net::TopologySpec topology;
   /// Steady-state window parameters (consumed by mc::run_steady only).
   SteadySpec steady;
-  /// State-exchange plane emulation (consumed by the testbed engine only; the
-  /// abstract MC's policies see exact state, so these are inert there).
+  /// Runs the Section 3 testbed emulation instead of the Section 2 model.
+  /// Chosen once per replication, it swaps three seams:
+  ///  * service law — each task gets an Exp(1) size drawn from its node's
+  ///    service stream at injection and is served in size / lambda_d;
+  ///  * delay law — bundles travel under `delay_model` (testbed::to_scenario
+  ///    sets the Erlang per-task law with the set-up shift), scaled by the
+  ///    state channel's data multiplier;
+  ///  * decision plane — each node decides on its own NodeLocalView over a
+  ///    StateBoard fed by periodic, lossy state broadcasts (the exchange_*
+  ///    and state_channel knobs below), with staleness sampled into
+  ///    RunResult::state_age. At t = 0 initially-down nodes are an initial
+  ///    condition, the board holds the exact state, and every node runs
+  ///    on_start and executes only its own transfers.
+  /// The state plane draws from its own stream at slot 2n+1, ahead of the
+  /// environment, arrival and policy streams. The emulation runs no periodic
+  /// timer, arrival stream, schedule or non-complete topology.
+  bool testbed = false;
+  /// State-exchange plane of the testbed emulation (inert on the model, whose
+  /// policies see exact state).
   double exchange_period = 1.0;    ///< UDP sync period (s)
   double exchange_latency = 1e-3;  ///< one-way state-packet latency (s)
   double exchange_loss = 0.0;      ///< i.i.d. state-packet loss (1 = blackout)
   /// Optional bursty k-state Markov channel for the state plane (states == 0
-  /// keeps the i.i.d. exchange_loss above); testbed engine only.
+  /// keeps the i.i.d. exchange_loss above); testbed emulation only.
   net::ChannelSpec state_channel;
 
   /// Deep copy (clones policy and delay model).
   [[nodiscard]] ScenarioConfig clone() const;
 };
+
+/// Throws std::invalid_argument when `config` cannot run as a finite
+/// replication (the check every run_scenario call makes first).
+void validate(const ScenarioConfig& config);
 
 /// Builds the common two-node config from TwoNodeParams.
 [[nodiscard]] ScenarioConfig make_two_node_scenario(const markov::TwoNodeParams& params,
@@ -115,12 +138,12 @@ struct RunResult {
   std::uint64_t tasks_completed = 0;
   std::uint64_t tasks_arrived = 0;     ///< externally injected tasks (open arrivals)
   std::uint64_t env_transitions = 0;   ///< environment CTMC jumps during the run
-  std::uint64_t state_packets_lost = 0;  ///< state-plane drops (testbed engine)
+  std::uint64_t state_packets_lost = 0;  ///< state-plane drops (testbed emulation)
   stoch::RunningStats sojourn;         ///< per-task time in system (all completed tasks)
   stoch::RunningStats queue_delay;     ///< per-task wait before first service
   /// Age (now - peer packet timestamp) of every peer entry consulted at every
   /// policy decision instant — the staleness the state plane imposes on
-  /// distributed decisions (testbed engine; empty on the abstract MC path).
+  /// distributed decisions (testbed emulation; empty on the model).
   stoch::RunningStats state_age;
 
   /// Time-averaged number of tasks in system over the run, by Little's law
@@ -166,11 +189,32 @@ struct ObsSinks {
   }
 };
 
-/// Runs one replication. `seed` is the experiment master seed; `replication`
-/// selects disjoint RNG streams, so results are independent across
-/// replications and identical regardless of threading.
+/// Estimator-layer knobs threaded into the replication wiring (consumed by
+/// the MC engine's variance-reduction modes; the defaults reproduce the
+/// historical run bit-for-bit).
+struct RunControls {
+  /// Runs the antithetic twin: the same (seed, replication) stream layout,
+  /// with every uniform01-derived draw of every stream mirrored to 1 - U (see
+  /// stoch::RngStream::set_antithetic). Pairing (replication r plain,
+  /// replication r mirrored) yields negatively correlated twins.
+  bool antithetic = false;
+  /// When non-null, the replication's setup and event-loop wall times are
+  /// accumulated here (the stats fold is timed by the engine). Reads the
+  /// monotonic clock only — no RNG draws, no behavioural change.
+  obs::PhaseProfile* profile = nullptr;
+  /// When non-null, receives this replication's DES-core queue activity
+  /// (des.events.*, des.slab.compactions, des.queue.* high-water gauges): the
+  /// change in the simulator's cumulative stats, so a reused simulator
+  /// reports exactly this run. Reads counters only — no behavioural change.
+  obs::Registry* metrics = nullptr;
+};
+
+/// Runs one replication on a fresh simulator. `seed` is the experiment master
+/// seed; `replication` selects disjoint RNG streams, so results are
+/// independent across replications and identical regardless of threading.
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
-                                     std::uint64_t replication, RunTrace* trace = nullptr);
+                                     std::uint64_t replication, RunTrace* trace = nullptr,
+                                     const RunControls& controls = {});
 
 /// Workspace-reusing form: `sim` is reset and driven in place, so its pooled
 /// event slab (and heap capacity) is recycled across a replication loop.
@@ -199,21 +243,6 @@ struct SteadyProbe {
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                      std::uint64_t replication, RunTrace* trace,
                                      des::Simulator& sim, const SteadyProbe& probe);
-
-/// Estimator-layer knobs threaded into the replication wiring (consumed by
-/// the MC engine's variance-reduction modes; the defaults reproduce the
-/// historical run bit-for-bit).
-struct RunControls {
-  /// Runs the antithetic twin: the same (seed, replication) stream layout,
-  /// with every uniform01-derived draw of every stream mirrored to 1 - U (see
-  /// stoch::RngStream::set_antithetic). Pairing (replication r plain,
-  /// replication r mirrored) yields negatively correlated twins.
-  bool antithetic = false;
-  /// When non-null, the replication's setup and event-loop wall times are
-  /// accumulated here (the stats fold is timed by the engine). Reads the
-  /// monotonic clock only — no RNG draws, no behavioural change.
-  obs::PhaseProfile* profile = nullptr;
-};
 
 /// Controls-carrying form of run_scenario; the most general overload, which
 /// every other form forwards to.

@@ -1,9 +1,11 @@
 #include "testbed/config.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "mc/scenario.hpp"
-#include "util/error.hpp"
+#include "net/delay_model.hpp"
 
 namespace lbsim::testbed {
 
@@ -33,35 +35,22 @@ TestbedConfig paper_testbed(std::size_t m0, std::size_t m1, core::PolicyPtr poli
   return config;
 }
 
-void validate(const TestbedConfig& config) {
-  markov::validate(config.params);
-  const std::size_t n = config.params.nodes.size();
-  LBSIM_REQUIRE(n >= 2, "testbed needs >= 2 nodes");
-  LBSIM_REQUIRE(config.workloads.size() == n, "workloads/nodes size mismatch");
-  LBSIM_REQUIRE(config.policy != nullptr, "testbed needs a policy");
-  LBSIM_REQUIRE(config.transfer_setup_shift >= 0.0, "setup shift");
-  LBSIM_REQUIRE(config.state_broadcast_period > 0.0, "broadcast period");
-  LBSIM_REQUIRE(config.state_latency >= 0.0, "state latency");
-  // Loss 1.0 is the legitimate total-blackout boundary; only > 1 is an error.
-  LBSIM_REQUIRE(config.state_loss_probability >= 0.0 && config.state_loss_probability <= 1.0,
-                "state loss");
-  net::validate(config.channel);
-  env::validate(config.environment);
-  LBSIM_REQUIRE(!config.channel.env_coupled || config.environment.enabled(),
-                "channel env coupling needs a configured environment");
-  if (n < 64) {
-    LBSIM_REQUIRE(config.initially_down < (std::uint64_t{1} << n),
-                  "initially_down mask addresses nodes >= " << n);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (config.starts_down(i)) {
-      LBSIM_REQUIRE(config.params.nodes[i].lambda_r > 0.0,
-                    "initially-down node " << i << " cannot recover (lambda_r == 0)");
-    }
-  }
-}
+void validate(const TestbedConfig& config) { mc::validate(to_scenario(config)); }
 
 TestbedConfig from_scenario(mc::ScenarioConfig&& scenario) {
+  std::string unsupported;
+  const auto refuse = [&unsupported](const char* what) {
+    unsupported += std::string(unsupported.empty() ? "" : ", ") + what;
+  };
+  if (scenario.rebalance_period > 0.0) refuse("policy=periodic");
+  if (scenario.delay_model != nullptr) refuse("delay.model/delay.shift");
+  if (scenario.arrivals.active()) refuse("arrivals.*");
+  if (!scenario.schedule.empty()) refuse("schedule");
+  if (!scenario.topology.complete()) refuse("topology");
+  if (!unsupported.empty()) {
+    throw std::invalid_argument("the testbed engine does not emulate " + unsupported +
+                                " for this scenario; use the default mc engine");
+  }
   TestbedConfig config;
   config.params = scenario.params;
   config.workloads = scenario.workloads;
@@ -74,6 +63,28 @@ TestbedConfig from_scenario(mc::ScenarioConfig&& scenario) {
   config.churn_enabled = scenario.churn_enabled;
   config.initially_down = scenario.initially_down;
   return config;
+}
+
+mc::ScenarioConfig to_scenario(const TestbedConfig& config) {
+  mc::ScenarioConfig scenario;
+  scenario.testbed = true;
+  scenario.params = config.params;
+  scenario.workloads = config.workloads;
+  scenario.policy = config.policy ? config.policy->clone() : nullptr;
+  scenario.delay_model = std::make_unique<net::ErlangPerTaskDelay>(
+      config.params.per_task_delay_mean, config.transfer_setup_shift);
+  scenario.churn_enabled = config.churn_enabled;
+  scenario.initially_down = config.initially_down;
+  scenario.environment = config.environment;
+  scenario.exchange_period = config.state_broadcast_period;
+  scenario.exchange_latency = config.state_latency;
+  scenario.exchange_loss = config.state_loss_probability;
+  scenario.state_channel = config.channel;
+  return scenario;
+}
+
+mc::ScenarioConfig emulate(mc::ScenarioConfig&& scenario) {
+  return to_scenario(from_scenario(std::move(scenario)));
 }
 
 }  // namespace lbsim::testbed

@@ -8,6 +8,10 @@
 /// (hence Exp(lambda_d) per task, Fig. 1), data bundles suffer a per-task
 /// exponential delay plus a small connection-setup shift (Fig. 2), and state
 /// information is exchanged in small UDP packets that can be lost.
+///
+/// A TestbedConfig is the emulation's own vocabulary; to_scenario() turns it
+/// into the mc::ScenarioConfig (ScenarioConfig::testbed set) that
+/// mc::run_scenario — the one replication kernel — runs.
 
 #include <cstdint>
 
@@ -54,6 +58,7 @@ struct TestbedConfig {
 [[nodiscard]] TestbedConfig paper_testbed(std::size_t m0, std::size_t m1,
                                           core::PolicyPtr policy);
 
+/// Throws std::invalid_argument unless the kernel can run `config`.
 void validate(const TestbedConfig& config);
 
 }  // namespace lbsim::testbed
@@ -65,8 +70,21 @@ struct ScenarioConfig;
 namespace lbsim::testbed {
 
 /// Converts a registry-built mc::ScenarioConfig into a testbed config — the
-/// single mapping shared by `lbsim run --engine=testbed`, the sweep driver,
-/// and the validation harness. Consumes the scenario (moves its policy).
+/// single mapping, and the one check, every testbed entry point passes
+/// through (`lbsim run`, `lbsim sweep`, `lbsim validate`, `lbsim perf`).
+/// Consumes the scenario (moves its policy). Throws std::invalid_argument
+/// naming the semantics the emulation does not honour — a periodic policy,
+/// an explicit delay law, arrivals, a schedule, a non-complete topology —
+/// rather than dropping them silently.
 [[nodiscard]] TestbedConfig from_scenario(mc::ScenarioConfig&& scenario);
+
+/// The kernel's form of `config`: ScenarioConfig::testbed set, the Erlang
+/// per-task delay law with the set-up shift in delay_model, the state plane
+/// in the exchange_* / state_channel fields. Clones the policy.
+[[nodiscard]] mc::ScenarioConfig to_scenario(const TestbedConfig& config);
+
+/// to_scenario(from_scenario(scenario)): the runnable emulation of a
+/// registry-built scenario.
+[[nodiscard]] mc::ScenarioConfig emulate(mc::ScenarioConfig&& scenario);
 
 }  // namespace lbsim::testbed

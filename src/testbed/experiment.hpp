@@ -6,46 +6,42 @@
 /// exchange), and LB/failure layer (policy + failure injector + backup agent).
 /// This produces the "Experimental Result" columns of Tables 1-2 and the
 /// queue realisations of Fig. 4.
+///
+/// Both entry points are adapters: they run to_scenario(config) through the
+/// one replication kernel (mc::run_scenario) and its finite driver
+/// (mc::run_monte_carlo).
 
 #include <cstdint>
 
+#include "mc/engine.hpp"
 #include "mc/scenario.hpp"
-#include "stochastic/stats.hpp"
 #include "testbed/config.hpp"
 
 namespace lbsim::testbed {
 
-/// One emulated realisation; same result/trace types as the abstract MC so
-/// that benches can tabulate them side by side. `profile` (optional)
-/// accumulates the setup / event-loop wall-time split; `metrics` (optional)
-/// receives the realisation's DES-core and net-layer instrument updates.
-/// Neither consumes RNG draws or changes any simulated quantity.
+/// One emulated realisation on a fresh simulator; same result/trace types as
+/// the abstract MC so that benches can tabulate them side by side. `profile`
+/// (optional) accumulates the setup / event-loop wall-time split; `metrics`
+/// (optional) receives the realisation's DES-core counters (des.*; see
+/// mc::RunControls). Neither consumes RNG draws or changes any simulated
+/// quantity.
 [[nodiscard]] mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
                                             std::uint64_t replication,
                                             mc::RunTrace* trace = nullptr,
                                             obs::PhaseProfile* profile = nullptr,
                                             obs::Registry* metrics = nullptr);
 
-struct ExperimentSummary {
-  stoch::RunningStats completion;
-  double mean_failures = 0.0;
-  double mean_tasks_moved = 0.0;
-  /// Per-decision peer state age pooled over all realizations (see
-  /// mc::RunResult::state_age).
-  stoch::RunningStats state_age;
-  /// State-plane packets dropped per realization, averaged.
-  double mean_state_lost = 0.0;
-  std::vector<double> samples;
-
-  [[nodiscard]] double mean() const noexcept { return completion.mean(); }
-  [[nodiscard]] double ci95() const noexcept { return stoch::ci_half_width(completion); }
-};
+/// The fold of `realizations` runs: completion statistics with the sorted
+/// samples, mean failures and tasks moved, the pooled per-decision peer
+/// state age, and state packets lost per realization.
+using ExperimentSummary = mc::McResult;
 
 /// Runs `realizations` independent emulated experiments (the paper uses
 /// 20-60 per configuration) on `threads` threads (0 = hardware concurrency).
 /// `sinks` optionally attaches the observability layer: a merged structured
-/// trace (replication order), a merged metrics registry (worker-id order plus
-/// driver-level gauges), and the aggregated phase profile.
+/// trace (replication order), a merged metrics registry (testbed.* names,
+/// worker-id order plus driver-level gauges), and the aggregated phase
+/// profile.
 [[nodiscard]] ExperimentSummary run_experiment(const TestbedConfig& config,
                                                std::size_t realizations,
                                                std::uint64_t seed = 0xbed2006,

@@ -63,19 +63,33 @@ void StateBroadcaster::start() {
   sim_.schedule_in(period_, [this] { broadcast_round(); });
 }
 
+void StateBroadcaster::seed_exact_state() {
+  for (std::size_t sender = 0; sender < ces_.size(); ++sender) {
+    const net::StateInfoPacket packet = packet_of(sender);
+    for (std::size_t observer = 0; observer < ces_.size(); ++observer) {
+      if (observer != sender) board_.store(static_cast<int>(observer), packet);
+    }
+  }
+}
+
+net::StateInfoPacket StateBroadcaster::packet_of(std::size_t node) const {
+  net::StateInfoPacket packet;
+  packet.sender = static_cast<int>(node);
+  packet.timestamp = sim_.now();
+  packet.queue_size = static_cast<std::uint32_t>(ces_[node]->queue_length());
+  packet.processing_rate = params_.nodes[node].lambda_d;
+  packet.node_up = ces_[node]->is_up();
+  return packet;
+}
+
 void StateBroadcaster::broadcast_round() {
   if (!running_) return;
   ++rounds_;
   for (std::size_t i = 0; i < ces_.size(); ++i) {
-    net::StateInfoPacket packet;
-    packet.sender = static_cast<int>(i);
-    packet.timestamp = sim_.now();
-    packet.queue_size = static_cast<std::uint32_t>(ces_[i]->queue_length());
-    packet.processing_rate = params_.nodes[i].lambda_d;
-    packet.node_up = ces_[i]->is_up();
-    network_.broadcast_state(packet, [this](int receiver, const net::StateInfoPacket& pkt) {
-      board_.store(receiver, pkt);
-    });
+    network_.broadcast_state(packet_of(i),
+                             [this](int receiver, const net::StateInfoPacket& pkt) {
+                               board_.store(receiver, pkt);
+                             });
   }
   sim_.schedule_in(period_, [this] { broadcast_round(); });
 }

@@ -24,8 +24,8 @@ class StateBoard {
 
   /// Packet last heard by `observer` from `peer` (observer != peer). Before
   /// any store this is the default-constructed packet (timestamp 0, queue 0,
-  /// node up) — which is why the experiment seeds the board with the exact
-  /// t = 0 state before any decision runs (see run_realization).
+  /// node up) — which is why the kernel seeds the board with the exact t = 0
+  /// state before any decision runs (StateBroadcaster::seed_exact_state).
   [[nodiscard]] const net::StateInfoPacket& last_heard(int observer, int peer) const;
 
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
@@ -64,6 +64,12 @@ class StateBroadcaster {
                    const std::vector<std::unique_ptr<node::ComputeElement>>& ces,
                    const markov::MultiNodeParams& params, double period);
 
+  /// Stores every node's current true state in every peer's board entry,
+  /// without the network: the exact initial state every node knows by
+  /// assumption. Up/down status included, so an initially-down peer never
+  /// reads as up-and-empty for the first broadcast period.
+  void seed_exact_state();
+
   /// Schedules the first broadcast round at t = now + period (t = 0 state is
   /// known exactly by assumption) and keeps going until stop().
   void start();
@@ -73,6 +79,7 @@ class StateBroadcaster {
 
  private:
   void broadcast_round();
+  [[nodiscard]] net::StateInfoPacket packet_of(std::size_t node) const;
 
   des::Simulator& sim_;
   net::Network& network_;

@@ -98,6 +98,20 @@ TEST(CliRun, TestbedEngineRejectsSemanticsItCannotEmulate) {
   EXPECT_EQ(ok.exit_code, 0) << ok.err;
 }
 
+TEST(CliSweep, TestbedFamilyRefusesWhatRunRefuses) {
+  // The testbed does not emulate delay.shift, so a sweep over it must refuse
+  // the key exactly as `lbsim run` does, before any point runs (shift=0
+  // alone would be fine).
+  const CliResult refused = run({"run", "lossy-exchange", "delay.shift=2", "--reps=2"});
+  EXPECT_EQ(refused.exit_code, 2);
+  EXPECT_NE(refused.err.find("does not emulate delay.model/delay.shift"), std::string::npos)
+      << refused.err;
+  const CliResult sweep = run({"sweep", "lossy-exchange", "delay.shift=0,2", "--reps=2"});
+  EXPECT_EQ(sweep.exit_code, 2);
+  EXPECT_EQ(sweep.err, refused.err);
+  EXPECT_TRUE(sweep.out.empty()) << sweep.out;
+}
+
 TEST(CliReproduce, UnknownArtifactFailsWithTheKnownList) {
   const CliResult result = run({"reproduce", "table9"});
   EXPECT_EQ(result.exit_code, 2);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <iterator>
+#include <vector>
 
 #include "cli/registry.hpp"
 #include "core/baseline.hpp"
@@ -16,6 +17,7 @@
 #include "mc/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "test_support.hpp"
+#include "testbed/config.hpp"
 
 namespace lbsim::mc {
 namespace {
@@ -46,15 +48,35 @@ TEST(ScenarioTest, DeterministicGivenSeedAndReplication) {
 
 TEST(ScenarioTest, ReusedSimulatorBitIdenticalToFreshOne) {
   // The engine recycles one simulator (and its pooled event slab) across a
-  // worker's replication loop; recycling must not change a single bit.
-  const ScenarioConfig config = fig3_scenario(0.35);
+  // worker's replication loop; recycling must not change a single bit. The
+  // testbed emulation (lossy-exchange: Gilbert-Elliott channel on, then
+  // coupled to the environment) shares the simulator too, and its state
+  // broadcaster re-arms forever: a round left pending by one replication
+  // must not leak into the next.
+  std::vector<ScenarioConfig> configs;
+  configs.push_back(fig3_scenario(0.35));
+  const cli::ScenarioSpec& lossy = cli::find_scenario("lossy-exchange");
+  for (const char* env_coupled : {"false", "true"}) {
+    cli::RawConfig raw;
+    raw.set("channel.env", env_coupled);
+    configs.push_back(testbed::emulate(lossy.build(lossy.schema.resolve(raw))));
+  }
   des::Simulator reused;
-  for (std::uint64_t rep = 0; rep < 5; ++rep) {
-    const RunResult fresh = run_scenario(config, 7, rep);
-    const RunResult recycled = run_scenario(config, 7, rep, nullptr, reused);
-    EXPECT_DOUBLE_EQ(fresh.completion_time, recycled.completion_time) << "rep " << rep;
-    EXPECT_EQ(fresh.failures, recycled.failures) << "rep " << rep;
-    EXPECT_EQ(fresh.tasks_moved, recycled.tasks_moved) << "rep " << rep;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    for (std::uint64_t rep = 0; rep < 5; ++rep) {
+      const RunResult fresh = run_scenario(configs[c], 7, rep);
+      const RunResult recycled = run_scenario(configs[c], 7, rep, nullptr, reused);
+      EXPECT_DOUBLE_EQ(fresh.completion_time, recycled.completion_time)
+          << "config " << c << " rep " << rep;
+      EXPECT_EQ(fresh.failures, recycled.failures) << "config " << c << " rep " << rep;
+      EXPECT_EQ(fresh.tasks_moved, recycled.tasks_moved) << "config " << c << " rep " << rep;
+      EXPECT_EQ(fresh.state_packets_lost, recycled.state_packets_lost)
+          << "config " << c << " rep " << rep;
+      EXPECT_EQ(fresh.state_age.count(), recycled.state_age.count())
+          << "config " << c << " rep " << rep;
+      EXPECT_DOUBLE_EQ(fresh.state_age.mean(), recycled.state_age.mean())
+          << "config " << c << " rep " << rep;
+    }
   }
 }
 
