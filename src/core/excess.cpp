@@ -1,5 +1,6 @@
 #include "core/excess.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -82,19 +83,43 @@ std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
 std::vector<InitialTransfer> initial_balance_transfers(
     const std::vector<double>& lambda_d, const std::vector<std::size_t>& workloads,
     double gain) {
+  // The composition of excess_load and partition_fraction, with every sum
+  // they need taken once instead of once per (i, j) pair: the same
+  // operations in the same order, so the result is bit-identical in O(n^2).
   validate_inputs(lambda_d, workloads);
   LBSIM_REQUIRE(gain >= 0.0 && gain <= 1.0 + 1e-9, "gain=" << gain);
   const std::size_t n = lambda_d.size();
+  double rate_sum = 0.0;
+  double load_sum = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    rate_sum += lambda_d[k];
+    load_sum += static_cast<double>(workloads[k]);
+  }
+  std::vector<double> normalised(n);  // m_l / lambda_dl
+  for (std::size_t l = 0; l < n; ++l) {
+    normalised[l] = static_cast<double>(workloads[l]) / lambda_d[l];
+  }
   std::vector<InitialTransfer> out;
   for (std::size_t j = 0; j < n; ++j) {
-    const double excess = excess_load(lambda_d, workloads, j);
-    if (excess <= 0.0) continue;
+    const double fair_share = (lambda_d[j] / rate_sum) * load_sum;
+    const double excess = static_cast<double>(workloads[j]) - fair_share;
+    if (!(excess > 0.0)) continue;  // excess_load's clamp, NaN included
+    // sum over l != j of m_l / lambda_dl, in index order (not "total minus
+    // term", which rounds differently).
+    double normalised_sum = 0.0;
+    for (std::size_t l = 0; l < n; ++l) {
+      if (l != j) normalised_sum += normalised[l];
+    }
     std::size_t remaining = workloads[j];
     for (std::size_t i = 0; i < n; ++i) {
       if (i == j) continue;
-      const double fraction = partition_fraction(lambda_d, workloads, i, j);
+      double fraction = 1.0;
+      if (n > 2) {
+        fraction = normalised_sum <= 0.0
+                       ? 1.0 / static_cast<double>(n - 1)
+                       : (1.0 - normalised[i] / normalised_sum) / static_cast<double>(n - 2);
+      }
       const auto count = static_cast<std::size_t>(std::llround(gain * fraction * excess));
-      if (count == 0) continue;
       const std::size_t sendable = std::min(count, remaining);
       if (sendable == 0) continue;
       remaining -= sendable;

@@ -44,8 +44,11 @@ namespace lbsim::core {
 [[nodiscard]] double total_processing_rate(const std::vector<markov::NodeParams>& nodes);
 
 /// All transfers LBP-2 issues at t = 0 for gain K: node j sends
-/// round(K * p_ij * excess_j) tasks to each node i (paper eq. (7)). Entries
-/// with zero tasks are omitted.
+/// round(K * p_ij * excess_j) tasks to each node i (paper eq. (7)), capped by
+/// what j still holds. Entries with zero tasks are omitted. Bit-identical to
+/// composing excess_load and partition_fraction pair by pair (the reference
+/// definitions above), but O(n^2): the sums are taken once per call and the
+/// l != j sum once per sender.
 struct InitialTransfer {
   std::size_t from = 0;
   std::size_t to = 0;

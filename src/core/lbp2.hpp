@@ -6,6 +6,7 @@
 /// every failure instant: the failing node's backup ships LF_ij tasks (eq. (8))
 /// to each peer i.
 
+#include "core/lf_table.hpp"
 #include "core/policy.hpp"
 
 namespace lbsim::core {
@@ -25,8 +26,9 @@ class Lbp2Policy final : public LoadBalancingPolicy {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::vector<TransferDirective> on_start(const SystemView& view) override;
 
-  /// At every failure of node j: send LF_ij tasks to each peer i (eq. (8)).
-  /// The engine caps the directives by node j's actual queue content.
+  /// At every failure of node j: send LF_ij tasks to each peer i (eq. (8)),
+  /// walking the LfTable row bound at on_start (built here if none is bound
+  /// yet); the directives are capped by node j's queue.
   [[nodiscard]] std::vector<TransferDirective> on_failure(int node,
                                                           const SystemView& view) override;
 
@@ -38,6 +40,7 @@ class Lbp2Policy final : public LoadBalancingPolicy {
  private:
   double gain_;
   bool state_aware_;
+  LfCache lf_;  // shared with clones
 };
 
 }  // namespace lbsim::core

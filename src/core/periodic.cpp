@@ -42,6 +42,7 @@ std::vector<TransferDirective> PeriodicRebalancePolicy::balance(
 }
 
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_start(const SystemView& view) {
+  if (compensate_failures_) (void)lf_.bind(view);
   return balance(view);
 }
 
@@ -52,22 +53,7 @@ std::vector<TransferDirective> PeriodicRebalancePolicy::on_periodic(const System
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_failure(int node,
                                                                    const SystemView& view) {
   if (!compensate_failures_) return {};
-  const std::size_t n = view.node_count();
-  std::vector<markov::NodeParams> nodes(n);
-  for (std::size_t i = 0; i < n; ++i) nodes[i] = view.node_params(static_cast<int>(i));
-  const double rate_sum = total_processing_rate(nodes);
-  std::vector<TransferDirective> directives;
-  std::size_t available = view.queue_length(node);
-  for (std::size_t i = 0; i < n && available > 0; ++i) {
-    if (static_cast<int>(i) == node) continue;
-    const std::size_t lf =
-        lbp2_failure_transfer(nodes, i, static_cast<std::size_t>(node), rate_sum);
-    if (lf == 0) continue;
-    const std::size_t count = std::min(lf, available);
-    available -= count;
-    directives.push_back(TransferDirective{node, static_cast<int>(i), count});
-  }
-  return directives;
+  return lf_.current(view, node).failure_transfers(node, view, /*state_aware=*/false);
 }
 
 PolicyPtr PeriodicRebalancePolicy::clone() const {

@@ -6,6 +6,7 @@
 /// on-failure compensation on top. Engines drive the timer via on_periodic()
 /// (see ScenarioConfig::rebalance_period).
 
+#include "core/lf_table.hpp"
 #include "core/policy.hpp"
 
 namespace lbsim::core {
@@ -31,6 +32,7 @@ class PeriodicRebalancePolicy final : public LoadBalancingPolicy {
   double period_;
   double gain_;
   bool compensate_failures_;
+  LfCache lf_;  // shared with clones; bound only with compensate_failures
 };
 
 }  // namespace lbsim::core

@@ -33,7 +33,10 @@ class SystemView {
   [[nodiscard]] virtual std::size_t queue_length(int node) const = 0;
   [[nodiscard]] virtual bool is_up(int node) const = 0;
   /// The stochastic parameters the policy is allowed to know (the paper's
-  /// policies know rates, not realisations).
+  /// policies know rates, not realisations). Together with node_count() they
+  /// are fixed for a scenario: a policy may cache tables derived from them
+  /// (core::LfTable), re-checking the cache once per on_start and trusting it
+  /// in the event hooks.
   [[nodiscard]] virtual markov::NodeParams node_params(int node) const = 0;
   [[nodiscard]] virtual double per_task_delay_mean() const = 0;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lbp2.hpp"
+#include "lf_reference.hpp"
 #include "core/periodic.hpp"
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
@@ -82,6 +83,36 @@ TEST(PeriodicPolicyTest, DefaultPoliciesIgnoreTicks) {
   Lbp2Policy policy(1.0);
   FakeView view(paper_nodes(), {100, 200});
   EXPECT_TRUE(policy.on_periodic(view).empty());
+}
+
+TEST(PeriodicPolicyTest, FailureCompensationMatchesReferenceScan) {
+  // Periodic+LF walks the same LfTable row as LBP-2 (never state-aware):
+  // every failure, capped or not, equals the per-receiver eq. (8) scan.
+  const std::vector<markov::NodeParams> nodes{{1.0, 0.05, 0.02}, {1.5, 0.1, 0.01},
+                                              {2.0, 0.05, 0.05}, {0.8, 0.02, 0.01},
+                                              {1.2, 0.0, 0.0}};
+  PeriodicRebalancePolicy policy(5.0, 1.0, true);
+  FakeView view(nodes, {0, 0, 0, 0, 0});
+  view.set_down(2);
+  std::size_t directives_seen = 0;
+  for (const bool started : {false, true}) {
+    if (started) (void)policy.on_start(view);
+    for (const std::size_t queue : {0u, 3u, 40u, 500u}) {
+      for (int node = 0; node < 5; ++node) {
+        view.set_queue(node, queue);
+        test::expect_same_outcome(
+            [&] { return policy.on_failure(node, view); },
+            [&] { return test::reference_failure_transfers(node, view, false); });
+        if (node != 4) directives_seen += policy.on_failure(node, view).size();
+      }
+    }
+  }
+  EXPECT_GT(directives_seen, 10u);
+  // The clone shares the built table and gives the same answers.
+  const PolicyPtr clone = policy.clone();
+  view.set_queue(1, 40);
+  test::expect_same_directives(clone->on_failure(1, view),
+                               test::reference_failure_transfers(1, view, false));
 }
 
 // ---------- engine wiring ----------

@@ -169,7 +169,9 @@ TEST(EventQueueTest, CancelAndCompactionStayPerShard) {
                          static_cast<std::size_t>(i % 4)));
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i % 10 != 0) EXPECT_TRUE(q.cancel(ids[i]));
+    if (i % 10 != 0) {
+      EXPECT_TRUE(q.cancel(ids[i]));
+    }
   }
   EXPECT_EQ(q.size(), 100u);
   // Compaction bounds corpses shard-locally, so the global bound still holds.
